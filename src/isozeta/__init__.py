@@ -41,14 +41,10 @@ from .curves import (
     automorphisms,
     count_points,
     curve_from_j,
-    dual_isogeny,
-    full_torsion_context,
-    is_supersingular,
     isomorphisms,
     j_invariant,
     supersingular_j_invariants,
     supersingular_model,
-    torsion_x_polynomial,
     velu_isogeny,
 )
 from .ssgraph import (

@@ -42,12 +42,15 @@ def _cmd_build(args, out) -> int:
     return 0
 
 
-def _load_graph(path: str):
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}")
-    return parse_graph(text)
+
+
+def _load_graph(path: str):
+    return parse_graph(_read_text(path))
 
 
 def _cmd_zeta(args, out) -> int:
@@ -108,6 +111,8 @@ def _cmd_chi(args, out) -> int:
 
 def _cmd_pointcount(args, out) -> int:
     p, ell, r = args.p, args.ell, args.r
+    if r < 1:
+        raise InputError("r must be >= 1")
     res = build_isogeny_graph(p, ell, "full:1")
     plus, minus = oriented_graphs(res.graph)
     cp, cm = euler_characteristic(plus), euler_characteristic(minus)
@@ -139,22 +144,24 @@ def _cmd_pointcount(args, out) -> int:
 
 
 def _parse_lpoly(path: str) -> tuple[int, str, tuple[int, ...]]:
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as e:
-        raise InputError(f"cannot read {path}: {e}")
-    if not lines or not lines[0].startswith("lpoly"):
-        raise InputError(f"{path}: expected header 'lpoly ell=<ell> label=<label>'")
+    lines = _read_text(path).splitlines()
+    if len(lines) < 2 or not lines[0].startswith("lpoly"):
+        raise InputError(
+            f"{path}: expected header 'lpoly ell=<ell> label=<label>' and a coefficient line"
+        )
     ell = None
     label = ""
-    for tok in lines[0].split()[1:]:
-        if tok.startswith("ell="):
-            ell = int(tok[4:])
-        elif tok.startswith("label="):
-            label = tok[6:]
-    if ell is None or len(lines) < 2:
-        raise InputError(f"{path}: malformed lpoly file")
-    coeffs = tuple(int(x) for x in lines[1].split())
+    try:
+        for tok in lines[0].split()[1:]:
+            if tok.startswith("ell="):
+                ell = int(tok[4:])
+            elif tok.startswith("label="):
+                label = tok[6:]
+        coeffs = tuple(int(x) for x in lines[1].split())
+    except ValueError:
+        raise InputError(f"{path}: non-integer field in lpoly file")
+    if ell is None:
+        raise InputError(f"{path}: header has no ell=<ell> field")
     if not coeffs or coeffs[0] != 1:
         raise InputError(f"{path}: numerator must have constant term 1")
     if ip.degree(coeffs) % 2:
@@ -164,7 +171,7 @@ def _parse_lpoly(path: str) -> tuple[int, str, tuple[int, ...]]:
 
 def _cmd_verify_product(args, out) -> int:
     g = _load_graph(args.graph)
-    header = parse_provenance_header(Path(args.graph + ".prov").read_text(encoding="utf-8"))
+    header = parse_provenance_header(_read_text(args.graph + ".prov"))
     if header["borel-range"] != "yes":
         raise InputError("graph level structure is not between borel1 and borel0")
     ell = header["ell"]

@@ -3,8 +3,8 @@
 Covers exactly what the graph construction needs: affine point
 arithmetic, exact point counts by x-sweep, supersingular enumeration and
 model selection, torsion bases over the predictable extension fields,
-division polynomials, isogenies from kernels with explicit rational maps,
-duals, and the scalar automorphisms (x, y) -> (u^2 x, u^3 y).
+isogenies from kernels with explicit rational maps, and the scalar
+automorphisms (x, y) -> (u^2 x, u^3 y).
 
 Points are None (infinity) or (x, y) pairs of field elements.
 """
@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import GuardError, InputError, InternalCheckError
-from .fields import Fel, Fq, canonical_key, embedding
+from .fields import Fel, Fq, canonical_key
 
 Point = tuple[Fel, Fel] | None
 
@@ -141,18 +141,6 @@ def count_points(e: Curve) -> int:
     return total
 
 
-def is_supersingular(e: Curve) -> bool:
-    """True iff #E(F_{p^2}) is (p-1)^2 or (p+1)^2, by exact count.
-
-    Only defined over F_{p^2}; this is the scalar-Frobenius criterion used
-    for model selection.
-    """
-    if e.field.k != 2:
-        raise InputError("supersingularity test expects a curve over F_{p^2}")
-    p = e.field.p
-    return count_points(e) in ((p - 1) ** 2, (p + 1) ** 2)
-
-
 def quadratic_twist(e: Curve) -> Curve:
     d = e.field._find_nonresidue()
     return Curve(e.field, e.a * d * d, e.b * d**3)
@@ -235,6 +223,10 @@ def torsion_field_degree(p: int, n: int) -> int:
     return multiplicative_order(-p, n)
 
 
+def _dlog_key(pt: Point):
+    return pt if pt is None else (pt[0].c, pt[1].c)
+
+
 @dataclass
 class TorsionContext:
     curve: Curve
@@ -243,15 +235,10 @@ class TorsionContext:
     dlog_table: dict
 
     def dlog(self, pt: Point) -> tuple[int, int]:
-        key = pt if pt is None else (pt[0].c, pt[1].c)
         try:
-            return self.dlog_table[key]
+            return self.dlog_table[_dlog_key(pt)]
         except KeyError:
             raise InternalCheckError("point is not in the stored torsion subgroup")
-
-
-def _dlog_key(pt: Point):
-    return pt if pt is None else (pt[0].c, pt[1].c)
 
 
 def torsion_basis_in(e: Curve, n: int, group_exponent: int, max_candidates: int = 5000) -> TorsionContext:
@@ -310,20 +297,6 @@ def _try_basis(e: Curve, n: int, p1: Point, p2: Point):
             table[key] = (a, b)
         cur = e.add(cur, p2)
     return table
-
-
-def full_torsion_context(e2: Curve, n: int) -> tuple[TorsionContext, int]:
-    """Base-change a (p+1)^2 model over F_{p^2} to the torsion field
-    F_{p^{2m}} and return a certified basis of E[n], plus m."""
-    p = e2.field.p
-    if e2.field.k != 2:
-        raise InputError("expected a curve over F_{p^2}")
-    m = torsion_field_degree(p, n)
-    big = Fq(p, 2 * m)
-    emb = embedding(e2.field, big)
-    ebig = Curve(big, emb(e2.a), emb(e2.b))
-    exponent = abs((-p) ** m - 1)
-    return torsion_basis_in(ebig, n, exponent), m
 
 
 # -- polynomials over a field ----------------------------------------------------
@@ -460,93 +433,6 @@ def _split_linear(field: Fq, f, roots: list[Fel], shift_idx: int) -> None:
             raise InternalCheckError("root splitting failed to make progress")
 
 
-# -- division polynomials -----------------------------------------------------------
-
-
-def _division_tilde(e: Curve, n: int) -> dict[int, tuple]:
-    """The x-only division polynomials psi~_k for k <= n, where
-    psi_k = psi~_k * (2y)^(k even)."""
-    field = e.field
-    a, b = e.a, e.b
-    f = (b, a, field.zero, field.one)
-    cache: dict[int, tuple] = {
-        0: (),
-        1: (field.one,),
-        2: (field.one,),
-        3: fp_trim(field, (-(a * a), 12 * b, 6 * a, field.zero, field(3))),
-        4: fp_trim(
-            field,
-            (
-                -2 * (a**3) - 16 * b * b,
-                -8 * a * b,
-                -10 * a * a,
-                40 * b,
-                10 * a,
-                field.zero,
-                field(2),
-            ),
-        ),
-    }
-    f2_16 = fp_scale(field, fp_mul(field, f, f), field(16))
-
-    def psi(k: int) -> tuple:
-        if k in cache:
-            return cache[k]
-        m = k // 2
-        if k % 2:
-            t1 = fp_mul(field, psi(m + 2), fp_mul(field, psi(m), fp_mul(field, psi(m), psi(m))))
-            t2 = fp_mul(field, psi(m - 1), fp_mul(field, psi(m + 1), fp_mul(field, psi(m + 1), psi(m + 1))))
-            if m % 2 == 0:
-                res = fp_sub(field, fp_mul(field, f2_16, t1), t2)
-            else:
-                res = fp_sub(field, t1, fp_mul(field, f2_16, t2))
-        else:
-            inner = fp_sub(
-                field,
-                fp_mul(field, psi(m + 2), fp_mul(field, psi(m - 1), psi(m - 1))),
-                fp_mul(field, psi(m - 2), fp_mul(field, psi(m + 1), psi(m + 1))),
-            )
-            res = fp_mul(field, psi(m), inner)
-        cache[k] = res
-        return res
-
-    psi(n)
-    return cache
-
-
-def torsion_x_polynomial(e: Curve, n: int) -> tuple:
-    """Monic polynomial whose roots are the x-coordinates of the nonzero
-    n-torsion, for n = 2 or odd n."""
-    field = e.field
-    if n == 2:
-        return (e.b, e.a, field.zero, field.one)
-    if n % 2 == 0:
-        raise InputError("only n = 2 or odd n supported")
-    poly = _division_tilde(e, n)[n]
-    return fp_scale(field, poly, poly[-1].inverse())
-
-
-def ell_torsion_points(e: Curve, ell: int) -> list[Point]:
-    """All nonzero ell-torsion points, requiring them rational over the
-    curve's field."""
-    field = e.field
-    xs = poly_roots(field, torsion_x_polynomial(e, ell))
-    pts: list[Point] = []
-    for x in xs:
-        r = e.rhs(x)
-        if not r:
-            pts.append((x, field.zero))
-            continue
-        y = field.sqrt(r)
-        if y is None:
-            raise InputError("ell-torsion is not rational over this field")
-        pts.append((x, y))
-        pts.append((x, -y))
-    if len(pts) != ell * ell - 1:
-        raise InputError("ell-torsion is not rational over this field")
-    return pts
-
-
 # -- isogenies -----------------------------------------------------------------------
 
 
@@ -572,21 +458,6 @@ class Isogeny:
         xx = fp_eval(self.domain.field, self.x_num, x) / den
         yy = y * fp_eval(self.domain.field, self.y_num, x) / fp_eval(self.domain.field, self.y_den, x)
         return (xx, yy)
-
-    def post_compose_scalar(self, u: Fel, codomain: Curve) -> "Isogeny":
-        """(x, y) -> (u^2 x, u^3 y) applied after this isogeny."""
-        field = self.domain.field
-        return Isogeny(
-            self.domain,
-            codomain,
-            self.degree,
-            self.kernel_points,
-            self.kernel_polynomial,
-            fp_scale(field, self.x_num, u * u),
-            self.x_den,
-            fp_scale(field, self.y_num, u**3),
-            self.y_den,
-        )
 
 
 def velu_isogeny(e: Curve, kernel_gen: Point) -> Isogeny:
@@ -672,54 +543,6 @@ def _check_isogeny(phi: Isogeny) -> None:
     # tiny fields may have no affine test point; accept
 
 
-def dual_isogeny(phi: Isogeny, ell_torsion: list[Point] | None = None) -> Isogeny:
-    """The isogeny psi with psi(phi(P)) = [deg phi] P, built from the image
-    of the ell-torsion and corrected by a post-isomorphism.
-
-    The composition identity is verified on sample points; the ell-torsion
-    of the domain must be rational (pass it in or it will be computed).
-    """
-    e = phi.domain
-    ell = phi.degree
-    field = e.field
-    if ell_torsion is None:
-        ell_torsion = ell_torsion_points(e, ell)
-    gen = None
-    sample = []
-    for pt in ell_torsion:
-        img = phi(pt)
-        if img is not None:
-            gen = img if gen is None else gen
-        sample.append(pt)
-    if gen is None:
-        raise InternalCheckError("isogeny killed the full ell-torsion")
-    psi0 = velu_isogeny(phi.codomain, gen)
-    # generic witness points beyond the torsion sample
-    for idx in range(field.order if field.order < 10**6 else 10**6):
-        x = field.element_from_index(idx)
-        y = field.sqrt(e.rhs(x))
-        if y is not None and all((x, y) != s for s in sample):
-            sample.append((x, y))
-            if len(sample) >= ell * ell + 1:
-                break
-    for u in isomorphisms(psi0.codomain, e):
-        ok = True
-        for pt in sample:
-            lhs = _apply_scalar_iso(u, psi0(phi(pt)))
-            if lhs != e.mul(ell, pt):
-                ok = False
-                break
-        if ok:
-            return psi0.post_compose_scalar(u, e)
-    raise InternalCheckError("no isomorphism corrects the dual to [ell]")
-
-
-def _apply_scalar_iso(u: Fel, pt: Point) -> Point:
-    if pt is None:
-        return None
-    return (u * u * pt[0], u**3 * pt[1])
-
-
 # -- isomorphisms and automorphisms ----------------------------------------------------
 
 
@@ -769,4 +592,6 @@ def automorphisms(e: Curve) -> list[Fel]:
 
 
 def apply_isomorphism(u: Fel, pt: Point) -> Point:
-    return _apply_scalar_iso(u, pt)
+    if pt is None:
+        return None
+    return (u * u * pt[0], u**3 * pt[1])

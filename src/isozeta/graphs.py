@@ -119,6 +119,14 @@ class ValidationReport:
     regular_degree: int | None
 
 
+def out_degrees(g) -> list[int]:
+    """Out-degree of every vertex.  Accepts IsogenyGraph or OrientedGraph."""
+    degs = [0] * g.num_vertices
+    for s, _ in g.edges:
+        degs[s] += 1
+    return degs
+
+
 def validate(g: IsogenyGraph) -> ValidationReport:
     """Check the two defining axioms edge by edge.
 
@@ -132,9 +140,7 @@ def validate(g: IsogenyGraph) -> ValidationReport:
             bad1.append(y)
         if g.target(jy) != g.diamond[g.source(y)]:
             bad2.append(y)
-    degs = [0] * g.num_vertices
-    for s, _ in g.edges:
-        degs[s] += 1
+    degs = out_degrees(g)
     regular = degs[0] if g.num_vertices and len(set(degs)) == 1 else None
     if g.num_vertices == 0:
         regular = 0

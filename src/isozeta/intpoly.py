@@ -116,15 +116,6 @@ def try_exact_div(f: Sequence, g: Sequence):
     return tuple(int(c) for c in q)
 
 
-def content(f: Sequence) -> int:
-    from math import gcd
-
-    g = 0
-    for c in trim(f):
-        g = gcd(g, abs(int(c)))
-    return g
-
-
 def primitive_gcd(f: Sequence, g: Sequence) -> tuple:
     """Monic-normalized gcd over Q, returned as a primitive integer polynomial
     with positive leading coefficient."""

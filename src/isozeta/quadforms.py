@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import InputError
+from .errors import GuardError, InputError
 
 
 # -- Kronecker symbol ----------------------------------------------------------
@@ -104,15 +104,6 @@ def reduce_form(f: tuple[int, int, int]) -> tuple[int, int, int]:
     if a == c and b < 0:
         b = -b
     return (a, b, c)
-
-
-def _solve_linear(a: int, b: int, m: int) -> int:
-    """Some x with a x = b (mod m)."""
-    g = gcd(a, m)
-    if b % g:
-        raise InputError("no solution to linear congruence")
-    mg = m // g
-    return (b // g) * pow(a // g, -1, mg) % mg if mg > 1 else 0
 
 
 def compose(f1: tuple[int, int, int], f2: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -405,6 +396,10 @@ def borel_euler_characteristics(p: int, ell: int, n: int) -> EulerCharReport:
         raise InputError("p must be a prime > 3")
     if gcd(n, p * ell) != 1:
         raise InputError("N must be coprime to p and ell")
+    if ell % 8 == 7 and _v2(n) >= 3:
+        # the 2-adic self-dual multiplicity is not derived there: the graph
+        # gives 8 at (5, 7, 8) and (13, 7, 8) where the formula gives 6
+        raise GuardError(f"chi formula not derived for ell = 7 mod 8 with 8 | N (N = {n})")
     e2, e3 = _eps2(p, n), _eps3(p, n)
     d4, d3 = _delta4(ell), _delta3(ell)
     r = _self_dual_count(p, ell, n)

@@ -355,7 +355,7 @@ def build_isogeny_graph(
         big = Curve(fbig, emb(model2.a), emb(model2.b))
         torsion = torsion_basis_in(big, n, exponent)
         auts = automorphisms(big)
-        aut_mats = [_matrix_of(big, u, torsion, n) for u in auts]
+        aut_mats = [_map_matrix(lambda pt: pt, u, torsion, torsion, n) for u in auts]
         curves.append(
             _CurveData(ci, j, model2, big, auts, aut_mats, torsion, [], {}, [])
         )
@@ -364,15 +364,6 @@ def build_isogeny_graph(
         _attach_kernels(cd, curves, j_lookup, ell, exponent, n)
 
     return _assemble(p, ell, level, curves, rng)
-
-
-def _matrix_of(curve: Curve, u: Fel, torsion: TorsionContext, n: int) -> Matrix:
-    if n == 1:
-        return (0, 0, 0, 0)
-    pb, qb = torsion.basis
-    a, c = torsion.dlog(apply_isomorphism(u, pb))
-    b, d = torsion.dlog(apply_isomorphism(u, qb))
-    return (a, b, c, d)
 
 
 def _map_matrix(phi, iota: Fel, src: TorsionContext, dst: TorsionContext, n: int) -> Matrix:

@@ -11,16 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GuardError, InputError
-from .graphs import IsogenyGraph
+from .graphs import IsogenyGraph, out_degrees
 
 DEFAULT_NODE_CAP = 10**8
 
 
 def _estimate(g: IsogenyGraph, length: int) -> int:
-    degs = [0] * g.num_vertices
-    for s, _ in g.edges:
-        degs[s] += 1
-    dmax = max(degs, default=0)
+    dmax = max(out_degrees(g), default=0)
     return g.num_edges * max(1, dmax) ** max(0, length - 1) * max(1, length)
 
 

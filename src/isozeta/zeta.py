@@ -21,7 +21,7 @@ from typing import Sequence
 
 from . import intpoly as ip
 from .errors import InputError, InternalCheckError
-from .graphs import IsogenyGraph, OrientedGraph, euler_characteristic, oriented_graphs
+from .graphs import IsogenyGraph, OrientedGraph, euler_characteristic, oriented_graphs, out_degrees
 
 
 # -- factored rational functions ---------------------------------------------
@@ -117,10 +117,6 @@ class FactoredRationalFunction:
 FRF = FactoredRationalFunction
 
 
-def frf_one() -> FRF:
-    return FRF([])
-
-
 # -- permutations associated to self-maps --------------------------------------
 
 
@@ -196,28 +192,18 @@ def adjacency_matrix(g: IsogenyGraph | OrientedGraph) -> list[list[int]]:
     return a
 
 
-def degree_matrix(g) -> list[list[int]]:
-    n = g.num_vertices
-    d = [[0] * n for _ in range(n)]
-    for s, _ in g.edges:
-        d[s][s] += 1
-    return d
-
-
-def q_matrix(g) -> list[list[int]]:
-    """Q = D - I."""
-    q = degree_matrix(g)
-    for i in range(g.num_vertices):
-        q[i][i] -= 1
-    return q
-
-
 def diamond_matrix(g: IsogenyGraph) -> list[list[int]]:
+    """The 0/1 matrix of the diamond map with L[x][L(x)] = 1, the
+    orientation in which Q L enters det(1 - A u + Q L u^2)."""
     n = g.num_vertices
     m = [[0] * n for _ in range(n)]
     for x in range(n):
-        m[g.diamond[x]][x] = 1
+        m[x][g.diamond[x]] = 1
     return m
+
+
+def _identity_matrix(n: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _mat_mul(a, b):
@@ -225,15 +211,22 @@ def _mat_mul(a, b):
     return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
-def ihara_matrix(g: IsogenyGraph) -> list[list[tuple[int, ...]]]:
-    """Entries of 1 - A u + Q L u^2 as integer polynomials in u."""
-    n = g.num_vertices
+def _one_minus_au_plus_qlu2(g, l) -> list[list[tuple[int, ...]]]:
+    """Entries of 1 - A u + Q L u^2 as integer polynomials in u, for a 0/1
+    vertex matrix L and Q = D - I diagonal: row x of Q L is row x of L
+    scaled by deg(x) - 1."""
     a = adjacency_matrix(g)
-    ql = _mat_mul(q_matrix(g), diamond_matrix(g))
+    q = [d - 1 for d in out_degrees(g)]
+    n = g.num_vertices
     return [
-        [ip.trim((1 if i == j else 0, -a[i][j], ql[i][j])) for j in range(n)]
+        [ip.trim((1 if i == j else 0, -a[i][j], q[i] * l[i][j])) for j in range(n)]
         for i in range(n)
     ]
+
+
+def ihara_matrix(g: IsogenyGraph) -> list[list[tuple[int, ...]]]:
+    """Entries of 1 - A u + Q L u^2 as integer polynomials in u."""
+    return _one_minus_au_plus_qlu2(g, diamond_matrix(g))
 
 
 def poly_det(matrix: Sequence[Sequence[tuple[int, ...]]]) -> tuple[int, ...]:
@@ -295,9 +288,9 @@ def zeta_numerator(g: IsogenyGraph) -> FRF:
 
 
 def _check_dl_commute(g: IsogenyGraph) -> None:
-    d = degree_matrix(g)
-    l = diamond_matrix(g)
-    if _mat_mul(d, l) != _mat_mul(l, d):
+    """D L = L D holds iff deg(L(x)) = deg(x) for every vertex x."""
+    degs = out_degrees(g)
+    if any(degs[g.diamond[x]] != degs[x] for x in range(g.num_vertices)):
         raise InputError(
             "unsupported graph: the degree matrix does not commute with the "
             "diamond map, so the determinant formula does not apply"
@@ -333,32 +326,17 @@ def zeta_involution_form(g: IsogenyGraph) -> FRF:
     plus, minus = oriented_graphs(g)
     chi_p = euler_characteristic(plus)
     chi_m = euler_characteristic(minus)
-    n = g.num_vertices
-    a = adjacency_matrix(g)
-    q = q_matrix(g)
-    matrix = [
-        [ip.trim((1 if i == j else 0, -a[i][j], q[i][j])) for j in range(n)]
-        for i in range(n)
-    ]
+    matrix = _one_minus_au_plus_qlu2(g, _identity_matrix(g.num_vertices))
     return FRF([((1, -1), chi_p), ((1, 1), chi_m), (poly_det(matrix), -1)])
 
 
 def classical_ihara_zeta(og: OrientedGraph) -> FRF:
     """(1 - u^2)^chi / det(1 - A u + (d-1) u^2) for a d-regular oriented
-    graph; the classical determinant formula, coded directly."""
-    degs = [0] * og.num_vertices
-    for s, _ in og.edges:
-        degs[s] += 1
-    if len(set(degs)) != 1:
+    graph: the classical determinant formula."""
+    if len(set(out_degrees(og))) != 1:
         raise InputError("classical formula requires a regular graph")
-    d = degs[0]
     chi = euler_characteristic(og)
-    a = adjacency_matrix(og)
-    n = og.num_vertices
-    matrix = [
-        [ip.trim((1 if i == j else 0, -a[i][j], d - 1 if i == j else 0)) for j in range(n)]
-        for i in range(n)
-    ]
+    matrix = _one_minus_au_plus_qlu2(og, _identity_matrix(og.num_vertices))
     return FRF([((1, 0, -1), chi), (poly_det(matrix), -1)])
 
 

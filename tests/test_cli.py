@@ -187,3 +187,28 @@ def test_lpoly_validation(capsys, g11_file, tmp_path):
     notone = _write_lpoly(tmp_path / "notone.lpoly", 3, "n", (2, 1, 3))
     code, _, err = run(capsys, "verify-product", g11_file, xh, notone)
     assert code == 2
+
+
+def test_exit_codes_without_traceback(g11_file, tmp_path):
+    # each row: argv, expected exit code; 2 is an input error, 3 a guard
+    no_prov = tmp_path / "no_prov.aig"
+    no_prov.write_text((tmp_path / "g11.aig").read_text(encoding="utf-8"), encoding="utf-8")
+    xh = _write_lpoly(tmp_path / "x0_1.lpoly", 3, "X0(1)", (1,))
+    body = tmp_path / "body.lpoly"
+    body.write_text("lpoly ell=3 label=b\n1 x 3\n", encoding="utf-8")
+    ell = tmp_path / "ell.lpoly"
+    ell.write_text("lpoly ell=three label=e\n1 1 3\n", encoding="utf-8")
+    table = [
+        (["pointcount", "13", "2", "0"], 2),
+        (["verify-product", g11_file, xh, str(body)], 2),
+        (["verify-product", g11_file, xh, str(ell)], 2),
+        (["verify-product", str(no_prov), xh, xh], 2),
+        (["chi", "5", "7", "8"], 3),
+        (["chi", "13", "7", "8"], 3),
+    ]
+    for argv, code in table:
+        proc = subprocess.run(
+            [sys.executable, "-m", "isozeta", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == code, (argv, proc.stdout, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv

@@ -1,5 +1,7 @@
 """Cross-module identities tying built graphs to the closed formulas."""
 
+import pytest
+
 from isozeta.graphs import homotopy_rank, is_connected, oriented_graphs, euler_characteristic, quotients
 from isozeta.quadforms import (
     borel_euler_characteristics,
@@ -172,3 +174,16 @@ def test_asymptotic_report_trivial_cases():
     tree = IsogenyGraph(2, ((0, 1), (1, 0)), (1, 0), (0, 1))  # 1-regular
     rows = asymptotic_report(tree, 3)
     assert all(r.ratio == 0 for r in rows)
+
+
+@pytest.mark.parametrize("p, ell, level", [(11, 2, "borel1:7"), (5, 2, "borel1:13")])
+def test_borel1_three_way_agreement_with_long_diamond_cycles(p, ell, level):
+    from isozeta.walks import count_closed_walks
+    from isozeta.zeta import associated_permutation, hashimoto_series
+
+    g = build_isogeny_graph(p, ell, level).graph
+    assert max(associated_permutation(g.diamond).cycles) >= 3
+    s1 = cycle_count_series(ihara_zeta(g), 6)
+    s2 = hashimoto_series(g, 6)
+    s3 = [count_closed_walks(g, r) for r in range(1, 7)]
+    assert s1 == s2 == s3

@@ -4,13 +4,10 @@ import pytest
 
 from isozeta.curves import (
     Curve,
+    apply_isomorphism,
     automorphisms,
     count_points,
     curve_from_j,
-    dual_isogeny,
-    ell_torsion_points,
-    full_torsion_context,
-    is_supersingular,
     isomorphisms,
     j_invariant,
     multiplicative_order,
@@ -19,7 +16,6 @@ from isozeta.curves import (
     supersingular_model,
     torsion_basis_in,
     torsion_field_degree,
-    torsion_x_polynomial,
     velu_isogeny,
 )
 from isozeta.errors import InputError
@@ -76,16 +72,6 @@ def test_group_law_scalar_consistency():
     assert e.add(e.add(a, b), c) == e.add(a, e.add(b, c))
 
 
-def test_supersingularity_examples():
-    f13 = Fq(13, 2)
-    assert is_supersingular(Curve(f13, f13(1), f13(4)))  # j = 5
-    assert not is_supersingular(curve_from_j(f13, 0))  # 13 = 1 mod 3
-    f11 = Fq(11, 2)
-    assert is_supersingular(curve_from_j(f11, 1728))  # 11 = 3 mod 4
-    with pytest.raises(InputError):
-        is_supersingular(curve_from_j(Fq(11), 1728))
-
-
 def test_supersingular_j_enumeration():
     f13 = Fq(13, 2)
     assert supersingular_j_invariants(13) == (f13(5),)
@@ -114,22 +100,6 @@ def test_torsion_field_degrees():
     assert multiplicative_order(2, 5) == 4
 
 
-def test_full_torsion_context_examples():
-    e = supersingular_model(Fq(13, 2), 5)
-    ctx, m = full_torsion_context(e, 5)
-    assert m == 4 and ctx.curve.field.k == 8
-    p, q = ctx.basis
-    assert ctx.curve.mul(5, p) is None and ctx.curve.mul(5, q) is None
-    assert len(ctx.dlog_table) == 25
-    # trivial level
-    ctx1, m1 = full_torsion_context(e, 1)
-    assert m1 == 1 and ctx1.basis == (None, None)
-
-    e11 = supersingular_model(Fq(11, 2), 0)
-    ctx3, m3 = full_torsion_context(e11, 3)
-    assert m3 == 1 and ctx3.curve.field.k == 2
-
-
 def test_torsion_basis_spans():
     e = supersingular_model(Fq(11, 2), 1728)
     ctx = torsion_basis_in(e, 3, (11 + 1))
@@ -137,37 +107,11 @@ def test_torsion_basis_spans():
     assert len(pts) == 9
 
 
-def test_division_polynomial_consistency():
-    from isozeta.curves import fp_eval
-
-    def check(curve, ctx, ell):
-        poly = torsion_x_polynomial(curve, ell)
-        field = curve.field
-        for a in range(ell):
-            for b in range(ell):
-                if a == b == 0:
-                    continue
-                pt = curve.add(curve.mul(a, ctx.basis[0]), curve.mul(b, ctx.basis[1]))
-                assert fp_eval(field, poly, pt[0]) == field.zero
-                assert curve.mul(ell, pt) is None
-                for d in range(1, ell):
-                    assert curve.mul(d, pt) is not None or curve.point_order(pt, ell) == 1
-
-    e11 = supersingular_model(Fq(11, 2), 0)
-    for ell in (2, 3):
-        check(e11, torsion_basis_in(e11, ell, 12), ell)
-    e13 = supersingular_model(Fq(13, 2), 5)
-    ctx5, m5 = full_torsion_context(e13, 5)
-    assert m5 == 4
-    check(ctx5.curve, ctx5, 5)
-
-
-def test_ell_torsion_points_enumeration():
-    e = supersingular_model(Fq(11, 2), 0)
-    pts = ell_torsion_points(e, 2)
-    assert len(pts) == 3
-    pts3 = ell_torsion_points(e, 3)
-    assert len(pts3) == 8
+def _nonzero_torsion(e, n, exponent):
+    """The nonzero points of E[n], from a certified torsion basis."""
+    r, s = torsion_basis_in(e, n, exponent).basis
+    pts = [e.add(e.mul(a, r), e.mul(b, s)) for a in range(n) for b in range(n)]
+    return [pt for pt in pts if pt is not None]
 
 
 def test_velu_two_isogenies_from_j5_are_endomorphisms():
@@ -175,7 +119,7 @@ def test_velu_two_isogenies_from_j5_are_endomorphisms():
     # characteristic 13 return to j = 5
     f = Fq(13, 2)
     e = supersingular_model(f, 5)
-    for pt in ell_torsion_points(e, 2):
+    for pt in _nonzero_torsion(e, 2, 14):
         phi = velu_isogeny(e, pt)
         assert phi.degree == 2
         assert j_invariant(phi.codomain) == f(5)
@@ -217,7 +161,7 @@ def test_velu_rejects_wrong_order():
 def test_velu_maps_evaluate_on_curve():
     e = supersingular_model(Fq(11, 2), 1728)
     field = e.field
-    for gen in ell_torsion_points(e, 3)[:2]:
+    for gen in torsion_basis_in(e, 3, 12).basis:
         phi = velu_isogeny(e, gen)
         n_checked = 0
         for idx in range(field.order):
@@ -233,52 +177,18 @@ def test_velu_maps_evaluate_on_curve():
                 break
 
 
-def test_dual_isogeny_composes_to_multiplication():
-    rng = random.Random(33)
-    for p, j in ((13, 5), (11, 0), (11, 1728)):
-        f = Fq(p, 2)
-        e = supersingular_model(f, j)
-        tors = ell_torsion_points(e, 2)
-        phi = velu_isogeny(e, tors[0])
-        psi = dual_isogeny(phi, tors)
-        assert psi.degree == phi.degree
-        checked = 0
-        for idx in range(f.order):
-            x = f.element_from_index(idx)
-            y = f.sqrt(e.rhs(x))
-            if y is None:
-                continue
-            assert psi(phi((x, y))) == e.mul(2, (x, y))
-            checked += 1
-            if checked >= 10:
-                break
-        assert checked >= 10
-
-
-def test_dual_of_dual_is_plus_minus_original():
-    f = Fq(13, 2)
-    e = supersingular_model(f, 5)
-    tors = ell_torsion_points(e, 2)
-    phi = velu_isogeny(e, tors[0])
-    psi = dual_isogeny(phi, tors)
-    back = dual_isogeny(psi, ell_torsion_points(phi.codomain, 2))
-    # same kernel, hence equal to the original up to automorphism
-    assert {p[0] for p in back.kernel_points} == {p[0] for p in phi.kernel_points}
-
-
 def test_self_dual_kernel_exists_in_characteristic_13():
     # exactly one of the three 2-isogeny kernels is its own dual kernel
     f = Fq(13, 2)
     e = supersingular_model(f, 5)
-    tors = ell_torsion_points(e, 2)
+    tors = _nonzero_torsion(e, 2, 14)
+    assert len(tors) == 3
     self_dual = 0
     for pt in tors:
         phi = velu_isogeny(e, pt)
         iot = isomorphisms(phi.codomain, e)[0]
         imgs = [phi(t) for t in tors]
         gen = next(i for i in imgs if i is not None)
-        from isozeta.curves import apply_isomorphism
-
         dual_x = apply_isomorphism(iot, gen)[0]
         if dual_x == pt[0]:
             self_dual += 1

@@ -1,5 +1,6 @@
 import pytest
 
+from isozeta.curves import apply_isomorphism, isomorphisms, velu_isogeny
 from isozeta.errors import GuardError, InputError
 from isozeta.graphs import validate
 from isozeta.quadforms import borel_vertex_count
@@ -171,6 +172,38 @@ def test_dual_orbit_pointers_consistent():
             # double dual returns to the diamond translate of the orbit
             back = res.orbits[dual.dual_orbit]
             assert back.source_vertex == res.graph.diamond[orb.source_vertex]
+
+
+def test_dual_kernels_give_the_dual_isogeny():
+    # the dual pointers rest on dual_gen generating the kernel of the dual:
+    # the Velu isogeny it gives, composed after iota o phi, is [ell] up to
+    # an automorphism of the domain
+    for args in ((13, 2, "full:1"), (11, 2, "full:1"), (11, 3, "full:1")):
+        res = build_isogeny_graph(*args)
+        ell = res.ell
+        for cd in res.curves:
+            e = cd.big
+            field = e.field
+            sample = []
+            for idx in range(field.order):
+                x = field.element_from_index(idx)
+                y = field.sqrt(e.rhs(x))
+                if y is not None:
+                    sample.append((x, y))
+                if len(sample) == 8:
+                    break
+            for k in cd.kernels:
+                sample_k = sample + [k.gen]
+                target = res.curves[k.target_curve]
+                psi = velu_isogeny(target.big, k.dual_gen)
+                back = [
+                    psi(apply_isomorphism(k.iota, k.phi(pt))) for pt in sample_k
+                ]
+                want = [e.mul(ell, pt) for pt in sample_k]
+                assert any(
+                    [apply_isomorphism(u, pt) for pt in back] == want
+                    for u in isomorphisms(psi.codomain, e)
+                )
 
 
 def test_rep_seed_preserves_zeta():
